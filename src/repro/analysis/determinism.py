@@ -37,7 +37,6 @@ DET002_EXEMPT = ("repro.sim.rng",)
 #: instrumentation never needs per-site suppressions.
 DET001_CONSUMERS = (
     "repro.trace",
-    "repro.bench.perf",
     "repro.cluster",
     # the telemetry sampler stamps every row with virtual-clock
     # boundaries handed to it by the serve loop

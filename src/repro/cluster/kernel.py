@@ -691,22 +691,3 @@ def run_orphan_crash(
         fault, outage_policy, None,
     )
     return None
-
-
-def device_call_snapshot(device_obj) -> Dict[str, int]:
-    """Cumulative per-layer call counters of one device stack.
-
-    Mirrors the bench harness probe (`repro.bench.perf`), so the
-    cluster-scale bench cases report sim-ops on the same scale as the
-    single-device suite.
-    """
-    link = device_obj.link
-    flash = device_obj.flash
-    return {
-        "link.mmio_read_lines": link.mmio_reads,
-        "link.mmio_write_lines": link.mmio_writes,
-        "link.dma_transfers": link.dma_transfers,
-        "flash.reads": flash.reads,
-        "flash.writes": flash.writes,
-        "flash.erases": flash.erases,
-    }

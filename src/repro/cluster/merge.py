@@ -70,17 +70,12 @@ def merge_shard_results(
     tenant_by_index: Dict[int, TenantResult] = {}
     device_summaries: Dict[int, Dict] = {}
     recovery_by_device: Dict[int, Dict] = {}
-    layer_calls: Dict[str, int] = {}
     latency = LatencyRecorder()
     for shard in ordered:
         for index, tres in shard.tenants:
             tenant_by_index[index] = tres
         device_summaries.update(shard.device_summaries)
         recovery_by_device.update(shard.recovery)
-        for key in sorted(shard.layer_calls):
-            layer_calls[key] = (
-                layer_calls.get(key, 0) + shard.layer_calls[key]
-            )
         latency.merge(shard.latency)
     missing_t = [i for i in range(n_tenants) if i not in tenant_by_index]
     if missing_t:
@@ -138,7 +133,6 @@ def merge_shard_results(
         ],
         telemetry=telemetry,
         wall_s=wall_s,
-        layer_calls=layer_calls,
     )
 
 

@@ -20,8 +20,7 @@ the live :attr:`ClusterRunResult.recovery` records but serialized as
 ``null``, so the JSON document stays byte-identical across identical
 invocations (the CI determinism gate ``cmp``\\ s two runs).
 
-:func:`validate_cluster_run` is the CI schema gate, in the same style as
-``repro.bench.perf.validate_simspeed``.
+:func:`validate_cluster_run` is the CI schema gate.
 """
 
 from __future__ import annotations
@@ -131,12 +130,9 @@ class ClusterRunResult:
     #: live-only: the run's TelemetrySampler when ``sample_every_ns`` was
     #: set (serialize via repro.telemetry.series, never into this doc)
     telemetry: Optional[object] = None
-    #: live-only: measured host wall-clock of the drain phase (the bench
-    #: harness reads it; never serialized — the doc stays deterministic)
+    #: live-only: measured host wall-clock of the drain phase (perfbench
+    #: reads it; never serialized — the doc stays deterministic)
     wall_s: Optional[float] = None
-    #: live-only: per-layer device call-count deltas of the drain phase,
-    #: summed over shards (same keys as the bench probe's layer_calls)
-    layer_calls: Optional[Dict[str, int]] = None
 
     @property
     def ops(self) -> int:

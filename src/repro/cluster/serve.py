@@ -87,7 +87,6 @@ from repro.trace.tracer import Tracer
 from repro.cluster.kernel import (
     DeviceFault,
     TenantRT,
-    device_call_snapshot,
     gen_arrivals,
     run_device_drain,
     run_orphan_crash,
@@ -306,9 +305,6 @@ def serve_cluster(
                 if reg is not None:
                     metrics_by_device[dev] = reg
 
-    calls0 = [
-        device_call_snapshot(backend.devices[k]) for k in range(n_devices)
-    ]
     wall0 = time.perf_counter()
     if sampler is not None:
         telem.activate(sampler)
@@ -323,13 +319,6 @@ def serve_cluster(
         if sampler is not None:
             telem.deactivate()
     wall_s = time.perf_counter() - wall0
-    layer_calls: Dict[str, int] = {}
-    for k in range(n_devices):
-        snap = device_call_snapshot(backend.devices[k])
-        for key in snap:
-            layer_calls[key] = (
-                layer_calls.get(key, 0) + snap[key] - calls0[k][key]
-            )
     # Final queue-accounting audit, sanitizer or not: a broken invariant
     # here means the result's counters are lies.
     for tn in runtime:
@@ -399,7 +388,6 @@ def serve_cluster(
         ],
         telemetry=sampler,
         wall_s=wall_s,
-        layer_calls=layer_calls,
     )
 
 

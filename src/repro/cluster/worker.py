@@ -48,7 +48,6 @@ from repro.telemetry import sampler as telem
 from repro.cluster.kernel import (
     DeviceFault,
     TenantRT,
-    device_call_snapshot,
     gen_arrivals,
     run_device_drain,
     run_orphan_crash,
@@ -117,7 +116,6 @@ class ShardResult:
     #: per-device dispatch-log fragments (None unless kept)
     dispatch_log: Optional[Dict[int, List[Dict]]] = None
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
-    layer_calls: Dict[str, int] = field(default_factory=dict)
 
 
 def shard_worker_main(conn, task: ShardTask) -> None:
@@ -201,7 +199,6 @@ def _run_shard(conn, task: ShardTask) -> ShardResult:
                 stats=backend.stats[dev],
                 time_of=clock.time_of,
             )
-    calls0 = {dev: device_call_snapshot(backend.devices[dev]) for dev in owned}
     metrics_by_device: Dict[int, object] = {}
     # ------------------------- measured phase ------------------------- #
     if sampler is not None:
@@ -249,11 +246,6 @@ def _run_shard(conn, task: ShardTask) -> ShardResult:
         with fssan.sanitized():
             sanity(runtime[index])
     elapsed_s = (t_end - t0) / SEC
-    layer_calls: Dict[str, int] = {}
-    for dev in owned:
-        snap = device_call_snapshot(backend.devices[dev])
-        for key, v in snap.items():
-            layer_calls[key] = layer_calls.get(key, 0) + (v - calls0[dev][key])
     result = ShardResult(
         worker_id=task.worker_id,
         tenants=[
@@ -275,7 +267,6 @@ def _run_shard(conn, task: ShardTask) -> ShardResult:
         metrics=metrics_by_device,
         dispatch_log=dispatch_log,
         latency=cluster_latency,
-        layer_calls=layer_calls,
     )
     if task.unmount:
         backend.unmount()
@@ -311,7 +302,7 @@ def run_shard_workers(
     Returns ``(t0, t_end, wall_s, results)`` where ``wall_s`` measures
     only the parallel drain (t0 broadcast to the last "ran" ack) —
     process spawn, device construction and tenant setup are excluded,
-    like the bench harness excludes setup from measured walls.
+    as on the serial path.
     """
     ctx = mp.get_context("spawn")
     procs: List = []

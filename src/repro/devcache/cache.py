@@ -202,13 +202,13 @@ class DeviceCache:
             return
         while len(self._dirty) > self._low_frames:
             lpa = next(iter(self._dirty))
-            del self._dirty[lpa]
             frame = self._frames[lpa]
             self.faults.point("devcache.writeback")
             self.writebacks += 1
             self.ftl.write_page(  # repro: allow[PERF001]
                 lpa, bytes(frame.data), _OTHER, background=True)
             frame.dirty = 0
+            del self._dirty[lpa]
 
     def _maybe_prefetch(self, lpa: int, kind: StructKind) -> None:
         prefetcher = self._prefetcher

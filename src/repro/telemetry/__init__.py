@@ -12,7 +12,7 @@ stdlib ``/metrics`` HTTP endpoint (:mod:`repro.telemetry.prom`,
 Telemetry is **zero-cost when off**: the serve loop guards every hook
 site on :data:`~repro.telemetry.sampler.ENABLED`, which is flipped only
 while a sampler is activated (``repro serve --telemetry-out`` /
-``--listen``).  The pinned ``repro bench --check`` suite never turns it
+``--listen``).  The benchmark (``perfbench/run.py``) never turns it
 on.
 
 Host-side discipline: this package reads device state only through the

@@ -62,18 +62,23 @@ class Varmail(Workload):
             fs.write(fd, payload)
             fs.close(fd)
         fs.sync()
+        #: files a thread has created and has yet to open again
+        self.busy = set()
 
     def thread_ops(self, fs: BaseFileSystem, tid: int) -> Iterator[str]:
         rng = self.rng(f"t{tid}")
         next_new = self.n_files // 2 + tid * 10_000
         payload = b"M" * (self.file_size // 2)
+        busy = self.busy
         for _ in range(self.ops_per_thread):
             # delete-of-oldest / create / fsync / read / append cycle,
-            # the Varmail flowlet structure.
+            # the Varmail flowlet structure.  Like Filebench, never
+            # delete a file another thread's flowlet still holds.
             victim = rng.randrange(max(1, next_new))
-            if fs.exists(f"/mail/msg{victim}"):
+            if victim not in busy and fs.exists(f"/mail/msg{victim}"):
                 fs.unlink(f"/mail/msg{victim}")
                 yield "delete"
+            busy.add(next_new)
             fd = fs.open(f"/mail/msg{next_new}", O_CREAT | O_RDWR)
             fs.write(fd, payload)
             fs.fsync(fd)
@@ -88,6 +93,7 @@ class Varmail(Workload):
             fs.close(fd)
             yield "append+fsync"
             _whole_read(fs, target)
+            busy.discard(next_new)
             yield "read"
             next_new += 1
 

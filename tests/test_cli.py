@@ -56,6 +56,14 @@ def test_run_json_echoes_seed_and_config(capsys):
     assert doc["config"]["log_bytes"] == 1 << 20
 
 
+@pytest.mark.parametrize("size", ["-5", "-4K", " 12x "])
+def test_bad_devcache_size_is_a_usage_error(size, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--workload", "mkdir", f"--devcache={size}"])
+    assert exc.value.code == 2
+    assert f"invalid size {size!r}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------- #
 # repro serve
 # ---------------------------------------------------------------------- #

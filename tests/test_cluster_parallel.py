@@ -93,13 +93,8 @@ def test_workers_capped_at_device_count():
 def test_parallel_run_reports_live_only_fields():
     res, _, _ = _run(2, faulted=False)
     assert res.wall_s is not None and res.wall_s > 0
-    assert res.layer_calls and all(
-        v >= 0 for v in res.layer_calls.values()
-    )
-    # ... and they never leak into the serialized document.
-    doc = res.to_json()
-    assert "wall_s" not in doc
-    assert "layer_calls" not in doc
+    # ... and it never leaks into the serialized document.
+    assert "wall_s" not in res.to_json()
 
 
 def test_traced_requires_serial_path():

@@ -24,6 +24,7 @@ from repro.devcache import (
     StridePrefetcher,
     make_policy,
 )
+from repro.faults.injector import CrashPoint, FaultInjector, FaultPlan
 from repro.ftl.ftl import FTL, FTLConfig
 from repro.nand.chip import FlashArray
 from repro.nand.geometry import FlashGeometry
@@ -265,6 +266,26 @@ def test_drain_flushes_every_dirty_frame_and_is_idempotent():
     cache.drain_write_buffer()  # nothing dirty: no extra flushes
     assert cache.flushes == 4
     cache.check_invariants()
+
+
+def test_crash_at_writeback_keeps_frame_dirty_and_flushable():
+    # Power fails at the first watermark write-back (frame 0, the oldest
+    # dirty page): the frame must still count as dirty afterwards, so
+    # recovery's drain flushes it instead of losing the acked bytes.
+    cache, ftl = make_cache(cache_pages=8)
+    injector = FaultInjector()
+    cache.faults = injector
+    injector.arm(FaultPlan(0))
+    with pytest.raises(CrashPoint):
+        for lpa in range(8):
+            cache.write_page(lpa, page(lpa))
+    cache.check_invariants()
+    injector.disarm()
+    cache.drain_write_buffer()
+    assert not cache._dirty
+    assert not any(f.dirty for f in cache._frames.values())
+    cache.check_invariants()
+    assert ftl.read_page(0) == page(0)
 
 
 def test_hit_costs_one_dram_access():

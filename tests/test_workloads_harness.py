@@ -95,6 +95,18 @@ def test_workloads_are_deterministic():
     assert r1.host_write == r2.host_write
 
 
+def test_varmail_skips_victims_another_thread_holds():
+    # Seed 11 at 300 cycles per thread draws a victim another thread has
+    # just created and is about to read back; deleting it used to abort
+    # the run with FileNotFound.
+    wl = Varmail(ops_per_thread=300, seed=11)
+    result = run_workload("bytefs", wl)
+    cycles = wl.n_threads * wl.ops_per_thread
+    assert result.latency.count("create+fsync") == cycles
+    assert result.latency.count("read") == 2 * cycles
+    assert not wl.busy
+
+
 def test_ycsb_runs_and_reports_latency():
     wl = YCSB("A", n_records=60, n_ops=60, n_threads=2, value_size=64)
     result = run_workload("bytefs", wl, geometry=SMALL_GEOMETRY)
