@@ -535,8 +535,8 @@ def main(argv: Optional[list] = None) -> int:
     serve_p.add_argument(
         "--workers", type=int, default=0, metavar="N",
         help="serve device shards in N worker processes and merge the "
-        "fragments deterministically (byte-identical to the serial "
-        "run); 0 (default) = in-process serial",
+        "fragments deterministically (byte-identical for every N); "
+        "0 (default) = the same shard protocol in this process",
     )
     serve_p.add_argument(
         "--listen", type=int, default=None, metavar="PORT",

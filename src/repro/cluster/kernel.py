@@ -2,11 +2,10 @@
 
 One :func:`serve_device` call drains one device shard's tenants to
 completion on the shared virtual clock — the self-contained unit that
-:func:`repro.cluster.serve.serve_cluster` runs in-process for every
-shard (``--workers 0``) and that :mod:`repro.cluster.worker` runs in
-one OS process per shard group (``--workers N``).  The dispatch
-semantics are documented on :mod:`repro.cluster.serve`; this module is
-the mechanism.
+the shard protocol (:mod:`repro.cluster.worker`) runs for every owned
+device, in this process (``--workers 0``) or in one OS process per
+shard group (``--workers N``).  The dispatch semantics are documented
+on :mod:`repro.cluster.serve`; this module is the mechanism.
 
 **O(1) idle-time skip.**  The kernel never scans tenants to find the
 next decision instant.  Two lazy min-heaps bound the next event:
@@ -545,7 +544,7 @@ def serve_device(
 
 
 # ---------------------------------------------------------------------- #
-# shared setup / drain building blocks (serial path and shard workers)
+# setup / drain building blocks of the shard protocol
 # ---------------------------------------------------------------------- #
 
 def setup_tenant(
@@ -559,7 +558,9 @@ def setup_tenant(
 ) -> TenantRT:
     """Mount, prepare and oracle-mirror one tenant on its shard.
 
-    Runs on the tenant's own clock thread.  Setups of tenants on
+    ``faulted`` tenants must run an oracle-mirrorable workload
+    (``serve_cluster`` checks that up front).  Runs on the tenant's own
+    clock thread.  Setups of tenants on
     different devices touch disjoint state (per-device file system,
     resources, stats) and distinct clock threads, so any subset of them
     replays identically in a worker process.
@@ -569,13 +570,6 @@ def setup_tenant(
     workload = make_tenant_workload(spec, seed)
     oracle: Optional[OracleFS] = None
     if faulted:
-        if not hasattr(workload, "attach_oracle"):
-            raise ValueError(
-                f"tenant {spec.name!r} runs workload "
-                f"{spec.workload!r} on faulted device {device}; only "
-                "profile/'synthetic' workloads can be oracle-"
-                "mirrored through a crash"
-            )
         oracle = OracleFS()
         workload.attach_oracle(oracle)
     workload.setup(ns)
@@ -586,14 +580,11 @@ def setup_tenant(
 
 
 def gen_arrivals(tn: TenantRT, seed: int, t0: float) -> None:
-    """Seed the tenant's open-loop Poisson arrival stream from ``t0``."""
+    """Seed the tenant's open-loop Poisson arrival stream from ``t0``
+    (``rate_ops_s`` is positive: ``serve_cluster`` checks it)."""
     rng = make_rng(seed, f"arrivals:{tn.spec.name}")
     t = t0
     rate = tn.spec.rate_ops_s
-    if rate <= 0:
-        raise ValueError(
-            f"tenant {tn.spec.name!r} needs a positive rate_ops_s"
-        )
     for _ in range(tn.spec.n_ops):
         t += rng.expovariate(rate) * SEC
         tn.arrivals.append(t)
@@ -623,8 +614,8 @@ def run_device_drain(
     tracer already activated by the caller.  Otherwise, when
     ``auto_trace`` is set, the drain runs under its own metrics-only
     tracer and its registry is returned — per-device registries merged
-    in device-index order are how the serial path and the sharded path
-    produce bit-identical layer aggregates.
+    in device-index order are how every sharding produces bit-identical
+    layer aggregates.
     """
     kwargs = dict(
         device_obj=device_obj, fs=fs, fault=fault,

@@ -1,24 +1,25 @@
-"""The deterministic reducer of the process-parallel serving path.
+"""The deterministic reducer of the serving path.
 
-:func:`merge_shard_results` reassembles per-worker
+:func:`merge_shard_results` reassembles per-shard
 :class:`~repro.cluster.worker.ShardResult` fragments into one
 :class:`~repro.cluster.result.ClusterRunResult` whose serialized
 ``repro.cluster.run/v2`` document — and whose telemetry
-``repro.telemetry.series/v1`` output — is byte-identical to the serial
-(``workers=0``) run, regardless of worker count or completion order.
+``repro.telemetry.series/v1`` output — is byte-identical for every
+worker count (``workers=0``'s one in-process shard included),
+regardless of completion order.
 
 Why byte identity is achievable at all:
 
 * every per-tenant and per-device quantity is produced by exactly one
-  worker, from the same seeded state the serial run would have — the
+  shard, from the same seeded state whatever the sharding — the
   reducer only has to put fragments back into canonical order (tenants
   by global index, devices and recovery records by device index,
-  outages in serial emission order);
+  outages in drain order: populated devices, then tenant-less ones);
 * the two cross-shard aggregates are order-insensitive at the byte
   level: latency summaries are computed over *sorted* sample lists
   (any merge grouping yields the same bytes), and trace metric
-  registries are merged in device-index order — the exact grouping the
-  serial path uses — so even float accumulation order matches;
+  registries are merged in device-index order whatever the sharding,
+  so even float accumulation order matches;
 * telemetry rows re-sort at export (``sorted_rows``), so concatenation
   order is irrelevant.
 
@@ -58,12 +59,13 @@ def merge_shard_results(
     sampler_meta: Optional[Dict],
     auto_trace: bool,
 ) -> ClusterRunResult:
-    """Reduce worker fragments into the canonical cluster result.
+    """Reduce shard fragments into the canonical cluster result.
 
     ``populated`` is the set of devices that served at least one tenant
     (outage records of tenant-less faulted devices sort after it, the
-    serial emission order).  ``sampler_meta`` is the header meta the
-    serial path would have given its sampler.
+    order one shard owning every device emits them in).
+    ``sampler_meta`` is the telemetry series header meta.  The span
+    tracer of a ``traced`` shard becomes ``result.trace``.
     """
     ordered = sorted(results, key=lambda r: r.worker_id)
 
@@ -97,6 +99,9 @@ def merge_shard_results(
         for dev in sorted(metrics_by_device):
             merged_metrics.merge(metrics_by_device[dev])
 
+    span_tracer = next(
+        (shard.trace for shard in ordered if shard.trace is not None), None
+    )
     telemetry = None
     if sample_every_ns is not None:
         rows: List[Dict] = []
@@ -110,7 +115,11 @@ def merge_shard_results(
         telemetry = TelemetrySampler.merged(
             t0, sample_every_ns, sampler_meta, rows, outages
         )
-        telemetry.finalize(t_end, merged_metrics)
+        telemetry.finalize(
+            t_end,
+            span_tracer.metrics if span_tracer is not None
+            else merged_metrics,
+        )
 
     return ClusterRunResult(
         fs_name=fs_name,
@@ -123,7 +132,7 @@ def merge_shard_results(
         tenants=[tenant_by_index[i] for i in range(n_tenants)],
         devices=[device_summaries[k] for k in range(n_devices)],
         latency=latency,
-        trace=None,
+        trace=span_tracer,
         dispatch_log=_merge_dispatch_logs(ordered, n_devices),
         outage_policy=outage_policy,
         fault_plan=fault_plan,
@@ -140,7 +149,7 @@ def _merge_dispatch_logs(
     ordered: List, n_devices: int
 ) -> Optional[List[Dict]]:
     """Concatenate per-device log fragments in device-index order — the
-    serial path drains devices in that order, so entry order matches."""
+    order a shard drains its devices in, so entry order matches."""
     if all(shard.dispatch_log is None for shard in ordered):
         return None
     log_by_device: Dict[int, List[Dict]] = {}

@@ -63,8 +63,6 @@ class ShardedBackend:
         queue_depth: int = 4,
         fault_devices: Collection[int] = (),
     ) -> None:
-        if n_devices < 1:
-            raise ValueError("need at least one device")
         self.fs_name = fs_name
         self.clock = clock
         self.stats: List[TrafficStats] = []
@@ -97,13 +95,6 @@ class ShardedBackend:
             self.filesystems.append(fs)
             self.queues.append(AdmissionQueue(k, queue_depth))
             self.injectors.append(injector)
-
-    @property
-    def n_devices(self) -> int:
-        return len(self.devices)
-
-    def place(self, spec: TenantSpec) -> int:
-        return place_tenant(spec, self.n_devices)
 
     def mount_namespace(self, spec: TenantSpec, device: int) -> NamespacedFS:
         """Create the tenant's private root on its shard and return the
@@ -138,7 +129,3 @@ class ShardedBackend:
                 for k in sorted(stats.fault_counters)
             },
         }
-
-    def unmount(self) -> None:
-        for fs in self.filesystems:
-            fs.unmount()

@@ -1,32 +1,38 @@
-"""Process-parallel shard workers for the serving layer.
+"""The shard protocol of the serving layer, in-process or in workers.
 
-``serve_cluster(..., workers=N)`` splits the cluster's device shards
-over ``min(N, n_devices)`` OS processes.  Each :class:`ShardWorker`
-process owns a disjoint set of devices end to end: it builds the full
+:func:`~repro.cluster.serve.serve_cluster` splits the cluster's device
+shards into :class:`ShardTask` groups and runs each through
+:func:`_run_shard`.  ``workers=N`` runs ``min(N, n_devices)`` groups in
+spawned OS processes (:func:`run_shard_workers`); ``workers=0`` runs the
+one group that owns every device in the calling process
+(:func:`run_shard_inline`).  Both execute the same code.
+
+A shard owns a disjoint set of devices end to end: it builds the full
 backend (so the shared-clock setup offset of device construction
 replays bit-exactly), sets up and drains only the tenants placed on its
-devices, samples its devices' telemetry, and ships a picklable
-:class:`ShardResult` fragment back over a pipe.  Workers never share
-memory; the only cross-shard couplings of the serial semantics are two
-scalar barriers, exchanged explicitly:
+devices, samples its devices' telemetry, and returns a
+:class:`ShardResult` fragment.  Shards never share memory; the only
+cross-shard couplings are two scalar barriers, exchanged over a link
+(a pipe to the parent, or :class:`_InlineLink` in-process):
 
-1. **setup barrier** — each worker reports its local post-setup clock
-   maximum; the parent broadcasts the global maximum ``t0`` and every
-   worker adopts it via :meth:`~repro.sim.clock.VirtualClock.sync_to`,
-   reproducing the serial ``sync_all()`` epoch exactly;
-2. **end barrier** — each worker reports its local post-drain elapsed
-   time; the parent broadcasts the global maximum ``t_end`` so every
-   worker closes its telemetry series at the same instant the serial
-   run would.
+1. **setup barrier** — each shard reports its local post-setup clock
+   maximum and adopts the global maximum ``t0`` via
+   :meth:`~repro.sim.clock.VirtualClock.sync_to` (the measurement
+   epoch);
+2. **end barrier** — each shard reports its local post-drain elapsed
+   time and receives the global maximum ``t_end``, so every shard
+   closes its telemetry series at the same instant.
+
+The in-process link answers each barrier with the shard's own value,
+which is the global maximum when one shard owns every device.
 
 Tenants never span devices, so between those barriers the per-shard
 event streams are causally independent (the property the CONC001–003
-lint passes certify); a faulted-but-tenant-less device is reassigned to
-the worker that owns tenant 0's device, because its drain-end power
+lint passes certify); a faulted-but-tenant-less device is assigned to
+the shard that owns tenant 0's device, because its drain-end power
 cycle runs on clock thread 0.  The deterministic reducer
 (:mod:`repro.cluster.merge`) reassembles the fragments into documents
-byte-identical to ``workers=0``, regardless of worker count or
-completion order.
+byte-identical for every worker count, regardless of completion order.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 import traceback
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -44,6 +51,8 @@ from repro.nand.timing import TimingModel
 from repro.sim.clock import SEC, VirtualClock
 from repro.stats.traffic import LatencyRecorder
 from repro.telemetry import sampler as telem
+from repro.trace import tracer as trace
+from repro.trace.tracer import Tracer
 
 from repro.cluster.kernel import (
     DeviceFault,
@@ -63,7 +72,7 @@ from repro.devcache import DevCacheConfig
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Everything one worker process needs, picklable for spawn."""
+    """Everything one shard needs, picklable for spawn."""
 
     worker_id: int
     fs_name: str
@@ -92,7 +101,8 @@ class ShardTask:
     outage_policy: str
     sample_every_ns: Optional[float]
     keep_dispatch_log: bool
-    unmount: bool
+    #: keep one span tracer over the drain (in-process shard only)
+    traced: bool
     #: the parent's trace.AUTO decision; the worker must not re-read the
     #: environment (the parent's flag may have been toggled in-process)
     auto_trace: bool
@@ -100,7 +110,7 @@ class ShardTask:
 
 @dataclass
 class ShardResult:
-    """One worker's fragment of the cluster run, picklable."""
+    """One shard's fragment of the cluster run, picklable."""
 
     worker_id: int
     #: (global index, result) for every tenant this worker served
@@ -116,6 +126,8 @@ class ShardResult:
     #: per-device dispatch-log fragments (None unless kept)
     dispatch_log: Optional[Dict[int, List[Dict]]] = None
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
+    #: the span-keeping tracer of a ``traced`` shard
+    trace: Optional[Tracer] = None
 
 
 def shard_worker_main(conn, task: ShardTask) -> None:
@@ -133,6 +145,7 @@ def shard_worker_main(conn, task: ShardTask) -> None:
 
 
 def _run_shard(conn, task: ShardTask) -> ShardResult:
+    """Run one shard through setup, both barriers and the drain."""
     fault_for = plan_by_device(task.faults)
     clock = VirtualClock(task.n_tenants)
     backend = ShardedBackend(
@@ -199,11 +212,15 @@ def _run_shard(conn, task: ShardTask) -> ShardResult:
                 stats=backend.stats[dev],
                 time_of=clock.time_of,
             )
+    tracer = Tracer(clock, keep_spans=True) if task.traced else None
     metrics_by_device: Dict[int, object] = {}
     # ------------------------- measured phase ------------------------- #
-    if sampler is not None:
-        telem.activate(sampler)
-    try:
+    with ExitStack() as active:
+        if sampler is not None:
+            telem.activate(sampler)
+            active.callback(telem.deactivate)
+        if tracer is not None:
+            active.enter_context(trace.activated(tracer))
         for dev in owned:
             if by_device[dev]:
                 reg = run_device_drain(
@@ -213,13 +230,13 @@ def _run_shard(conn, task: ShardTask) -> ShardResult:
                     dispatch_log[dev] if dispatch_log is not None else None,
                     backend.devices[dev], backend.filesystems[dev],
                     fault_rt.get(dev), task.outage_policy, task.seed,
-                    None, task.auto_trace,
+                    tracer, task.auto_trace,
                 )
                 if reg is not None:
                     metrics_by_device[dev] = reg
         # Owned faulted devices with no tenants power-cycle after the
         # populated shards drained (on thread 0, whose post-drain time
-        # is exact here: orphan devices are owned by tenant 0's worker).
+        # is exact here: orphan devices are owned by tenant 0's shard).
         for dev in owned:
             frt = fault_rt.get(dev)
             if frt is not None and not frt.done and not by_device[dev]:
@@ -227,13 +244,12 @@ def _run_shard(conn, task: ShardTask) -> ShardResult:
                     clock, dev, backend.devices[dev],
                     backend.filesystems[dev], backend.queues[dev],
                     backend.stats[dev], frt, task.outage_policy,
-                    None, task.auto_trace,
+                    tracer, task.auto_trace,
                 )
                 if reg is not None:
                     metrics_by_device[dev] = reg
-    finally:
-        if sampler is not None:
-            telem.deactivate()
+    if tracer is not None:
+        tracer.close_all()
     # End barrier: local elapsed out, global run end t_end back.
     conn.send(("ran", clock.elapsed_ns))
     t_end = conn.recv()
@@ -246,7 +262,7 @@ def _run_shard(conn, task: ShardTask) -> ShardResult:
         with fssan.sanitized():
             sanity(runtime[index])
     elapsed_s = (t_end - t0) / SEC
-    result = ShardResult(
+    return ShardResult(
         worker_id=task.worker_id,
         tenants=[
             (index, _tenant_result(runtime[index], device_of[index]))
@@ -267,10 +283,8 @@ def _run_shard(conn, task: ShardTask) -> ShardResult:
         metrics=metrics_by_device,
         dispatch_log=dispatch_log,
         latency=cluster_latency,
+        trace=tracer,
     )
-    if task.unmount:
-        backend.unmount()
-    return result
 
 
 def _tenant_result(tn: TenantRT, device: int) -> TenantResult:
@@ -291,8 +305,40 @@ def _tenant_result(tn: TenantRT, device: int) -> TenantResult:
 
 
 # ---------------------------------------------------------------------- #
-# parent-side orchestration
+# orchestration: in-process or one spawned process per task
 # ---------------------------------------------------------------------- #
+
+class _InlineLink:
+    """The in-process end of both barriers: with one shard, each global
+    maximum is the shard's own value.  Records when each barrier was
+    crossed, so ``wall_s`` spans the drain exactly as in workers."""
+
+    def __init__(self) -> None:
+        self.sent: Dict[str, Tuple[float, float]] = {}
+        self._last = 0.0
+
+    def send(self, msg: Tuple[str, float]) -> None:
+        tag, value = msg
+        self.sent[tag] = (value, time.perf_counter())
+        self._last = value
+
+    def recv(self) -> float:
+        return self._last
+
+
+def run_shard_inline(
+    tasks: List[ShardTask],
+) -> Tuple[float, float, float, List[ShardResult]]:
+    """Run the single task that owns every device in this process.
+
+    Same return contract as :func:`run_shard_workers`.
+    """
+    (task,) = tasks
+    link = _InlineLink()
+    result = _run_shard(link, task)
+    (t0, wall0), (t_end, wall1) = link.sent["setup"], link.sent["ran"]
+    return t0, t_end, wall1 - wall0, [result]
+
 
 def run_shard_workers(
     tasks: List[ShardTask],
@@ -300,9 +346,8 @@ def run_shard_workers(
     """Run one process per task through the three-phase shard protocol.
 
     Returns ``(t0, t_end, wall_s, results)`` where ``wall_s`` measures
-    only the parallel drain (t0 broadcast to the last "ran" ack) —
-    process spawn, device construction and tenant setup are excluded,
-    as on the serial path.
+    only the drain (t0 broadcast to the last "ran" ack) — process
+    spawn, device construction and tenant setup are excluded.
     """
     ctx = mp.get_context("spawn")
     procs: List = []

@@ -181,20 +181,25 @@ class DeviceCache:
             self._evict_one()
 
     def _evict_one(self) -> None:
-        lpa = self._policy.victim()
-        frame = self._frames.pop(lpa)
-        if frame.prefetched:
-            self.prefetch_wasted += 1
+        # The victim stays resident, dirty and tracked until its data is
+        # on flash: a crash at the point or inside the FTL write leaves
+        # it for recovery's drain to flush.
+        lpa = self._policy.select()
+        frame = self._frames[lpa]
         if frame.dirty:
-            del self._dirty[lpa]
             self.faults.point("devcache.evict")
             self.evictions_dirty += 1
             # Evictions are one-page-at-a-time by design (like the
             # baseline firmware's page cache).
             self.ftl.write_page(  # repro: allow[PERF001]
                 lpa, bytes(frame.data), _OTHER, background=True)
+            del self._dirty[lpa]
         else:
             self.evictions_clean += 1
+        del self._frames[lpa]
+        self._policy.forget(lpa)
+        if frame.prefetched:
+            self.prefetch_wasted += 1
 
     def _writeback_if_needed(self) -> None:
         """Clean dirty frames (oldest-dirtied first) past the watermark."""

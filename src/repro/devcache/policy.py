@@ -31,9 +31,12 @@ class EvictionPolicy:
     """Victim selection over the set of resident LPAs.
 
     The cache calls ``admit`` when a frame is installed, ``touch`` on
-    every demand hit, ``forget`` when a frame leaves for any non-eviction
-    reason (trim), and ``victim`` to select-and-remove the next frame to
-    evict.  ``victim`` is only called while at least one LPA is resident.
+    every demand hit, ``select`` to name the next frame to evict, and
+    ``forget`` once a frame has left (evicted or trimmed).  Eviction
+    selects first and forgets only after the frame's write-back, so a
+    crash in between leaves the frame tracked.  ``victim`` is select and
+    forget in one step.  Both are only called while at least one LPA is
+    resident.
     """
 
     name = "policy"
@@ -47,8 +50,13 @@ class EvictionPolicy:
     def forget(self, lpa: int) -> None:
         raise NotImplementedError
 
-    def victim(self) -> int:
+    def select(self) -> int:
         raise NotImplementedError
+
+    def victim(self) -> int:
+        lpa = self.select()
+        self.forget(lpa)
+        return lpa
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -71,9 +79,8 @@ class LRUPolicy(EvictionPolicy):
     def forget(self, lpa: int) -> None:
         self._order.pop(lpa, None)
 
-    def victim(self) -> int:
-        lpa, _ = self._order.popitem(last=False)
-        return lpa
+    def select(self) -> int:
+        return next(iter(self._order))
 
     def __len__(self) -> int:
         return len(self._order)
@@ -102,13 +109,13 @@ class ClockPolicy(EvictionPolicy):
     def forget(self, lpa: int) -> None:
         self._ref.pop(lpa, None)
 
-    def victim(self) -> int:
+    def select(self) -> int:
         while True:
-            lpa, referenced = self._ref.popitem(last=False)
-            if referenced:
-                self._ref[lpa] = False  # second chance: rotate to tail
-                continue
-            return lpa
+            lpa, referenced = next(iter(self._ref.items()))
+            if not referenced:
+                return lpa
+            self._ref[lpa] = False  # second chance: rotate to tail
+            self._ref.move_to_end(lpa)
 
     def __len__(self) -> int:
         return len(self._ref)
@@ -167,12 +174,8 @@ class HotColdPolicy(EvictionPolicy):
         if self._cold.pop(lpa, None) is None:
             self._hot.pop(lpa, None)
 
-    def victim(self) -> int:
-        if self._cold:
-            lpa, _ = self._cold.popitem(last=False)
-            return lpa
-        lpa, _ = self._hot.popitem(last=False)
-        return lpa
+    def select(self) -> int:
+        return next(iter(self._cold or self._hot))
 
     def is_hot(self, lpa: int) -> bool:
         """Introspection for tests: is the frame in the hot queue?"""

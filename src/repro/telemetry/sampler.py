@@ -124,14 +124,14 @@ class TelemetrySampler:
     ) -> "TelemetrySampler":
         """Reassemble a sampler from per-shard fragments.
 
-        The process-parallel serving path samples each device in the
-        worker that owns it; the reducer concatenates the per-worker
-        ``rows`` and ``outages`` (each device's series produced by
-        exactly one worker) and rebuilds a sampler equivalent to the
-        serial run's.  Row order does not matter — every exported view
-        goes through :meth:`sorted_rows` — but the caller must pass
-        ``outages`` in the serial emission order (populated faulted
-        devices by index, then tenant-less ones).  Call
+        The serving path samples each device in the shard that owns
+        it; the reducer concatenates the per-shard ``rows`` and
+        ``outages`` (each device's series produced by exactly one
+        shard) and rebuilds a sampler equivalent to a single shard's.
+        Row order does not matter — every exported view goes through
+        :meth:`sorted_rows` — but the caller must pass ``outages`` in
+        drain order (populated faulted devices by index, then
+        tenant-less ones).  Call
         :meth:`finalize` afterwards to close the series at the global
         run end.
         """

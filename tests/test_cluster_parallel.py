@@ -1,10 +1,12 @@
 """Process-parallel serving: the determinism contract of the reducer.
 
 ``serve_cluster(..., workers=K)`` shards the cluster over K worker
-processes and reduces the per-shard fragments; the contract
-(``docs/PERFORMANCE.md``) is that the merged ``repro.cluster.run/v2``
-document — and the ``repro.telemetry.series/v1`` output — is
-**byte-identical** to the in-process serial run for every K.  These
+processes and reduces the per-shard fragments; ``workers=0`` runs the
+same shard protocol in-process, as one shard owning every device.  The
+contract (``docs/PERFORMANCE.md``) is that the merged
+``repro.cluster.run/v2`` document — and the
+``repro.telemetry.series/v1`` output — is **byte-identical** for every
+K.  These
 tests pin that on the same fixture shapes the golden differential test
 uses: a plain multi-device run and a faulted one (mid-run device crash
 plus a tenant-less faulted device), both with live telemetry sampled.
@@ -17,6 +19,7 @@ import json
 import pytest
 
 from repro.cluster import TenantSpec, serve_cluster, validate_cluster_run
+from repro.cluster import serve as serve_mod
 from repro.faults.plan import DeviceCrash
 from repro.telemetry.series import to_lines, validate_series
 from tests.conftest import SMALL_GEOMETRY
@@ -68,7 +71,9 @@ def test_workers_byte_identical_to_serial(faulted):
     assert not validate_series(
         [json.loads(line) for line in series0.splitlines()]
     )
-    for workers in (2, 4):
+    # workers=1 is one spawned shard owning every device: the same shard
+    # the in-process run executes, across a process boundary.
+    for workers in (1, 2, 4):
         res, doc, series = _run(workers, faulted=faulted)
         assert doc == doc0, f"result document differs at workers={workers}"
         assert series == series0, (
@@ -105,11 +110,35 @@ def test_traced_requires_serial_path():
         )
 
 
-def test_parallel_rejects_bad_fault_plan_before_spawn():
-    # The error contract must not depend on workers: a bad plan raises
-    # the same ValueError the serial path raises.
+_BAD_INPUTS = {
+    "bad-fault-plan": dict(faults=[DeviceCrash(device=7, after_ops=1)]),
+    "unmirrorable-on-faulted-device": dict(
+        tenants=[TenantSpec(name="v", workload="varmail", n_ops=4,
+                            device=0)],
+        faults=[DeviceCrash(device=0, after_ops=1)],
+    ),
+    "zero-rate": dict(
+        tenants=[TenantSpec(name="z", workload="synthetic", n_ops=4,
+                            rate_ops_s=0.0, device=1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+@pytest.mark.parametrize("workers", [0, 2])
+def test_bad_input_raises_before_any_shard_runs(monkeypatch, workers,
+                                                 case):
+    # The error contract must not depend on workers: every bad input
+    # raises ValueError in serve_cluster, before a shard is started.
+    def no_shards(tasks):
+        raise AssertionError("a shard ran on invalid input")
+
+    monkeypatch.setattr(serve_mod, "run_shard_inline", no_shards)
+    monkeypatch.setattr(serve_mod, "run_shard_workers", no_shards)
+    kw = dict(_BAD_INPUTS[case])
+    tenants = _tenants(2, 2) + kw.pop("tenants", [])
     with pytest.raises(ValueError):
         serve_cluster(
-            _tenants(2, 2), n_devices=2, geometry=SMALL_GEOMETRY,
-            faults=[DeviceCrash(device=7, after_ops=1)], workers=2,
+            tenants, n_devices=2, geometry=SMALL_GEOMETRY,
+            workers=workers, **kw,
         )

@@ -288,6 +288,28 @@ def test_crash_at_writeback_keeps_frame_dirty_and_flushable():
     assert ftl.read_page(0) == page(0)
 
 
+def test_crash_at_evict_keeps_victim_resident_and_flushable():
+    # Watermarks off, so only eviction writes back.  Site 1 is the
+    # second eviction (page 1; page 0 is all zeros and would hide a
+    # lost write): power fails before the victim reaches flash, so it
+    # must stay resident, dirty and tracked for recovery's drain.
+    cache, ftl = make_cache(cache_pages=8, dirty_high_watermark=1.0,
+                            dirty_low_watermark=1.0)
+    injector = FaultInjector()
+    cache.faults = injector
+    injector.arm(FaultPlan(1))
+    with pytest.raises(CrashPoint):
+        for lpa in range(10):
+            cache.write_page(lpa, page(lpa))
+    cache.check_invariants()
+    injector.disarm()
+    cache.drain_write_buffer()
+    cache.check_invariants()
+    for lpa in range(9):  # page 9's write was never acknowledged
+        assert cache.read_page(lpa) == page(lpa)
+        assert ftl.read_page(lpa) == page(lpa)
+
+
 def test_hit_costs_one_dram_access():
     cache, ftl = make_cache(cache_pages=4)
     cache.write_page(1, page(1), background=True)
