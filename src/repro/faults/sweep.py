@@ -217,7 +217,8 @@ def replay_workload(fs, ops: Sequence[Tuple]) -> OracleFS:
 
     Returns the oracle; on an injected :class:`CrashPoint` the in-flight
     op is recorded as incomplete and the exception re-raised with the
-    oracle attached (``exc.oracle``, ``exc.n_ops_completed``).
+    oracle attached (``exc.oracle``, ``exc.n_ops_completed``).  Any
+    other exception is re-raised with ``exc.n_ops_completed`` only.
     """
     oracle = OracleFS()
     for i, op in enumerate(ops):
@@ -226,6 +227,9 @@ def replay_workload(fs, ops: Sequence[Tuple]) -> OracleFS:
         except CrashPoint as exc:
             oracle.observe(op, completed=False)
             exc.oracle = oracle
+            exc.n_ops_completed = i
+            raise
+        except Exception as exc:
             exc.n_ops_completed = i
             raise
         oracle.observe(op, completed=True)
@@ -260,22 +264,34 @@ def enumerate_sites(config: SweepConfig) -> List[SiteRecord]:
 def run_crash(
     config: SweepConfig, crash_site: int, torn: bool = False
 ) -> CrashResult:
-    """Phase 2 body: replay the workload crashing at ``crash_site``."""
+    """Phase 2 body: replay the workload crashing at ``crash_site``.
+
+    An exception other than the injected crash, raised by the workload
+    or by the crash protocol, is reported as this site's error (so a
+    sweep goes on to the next site) instead of propagating.
+    """
     ops = config.workload or standard_workload(config.seed)
     injector = FaultInjector()
     _clock, _stats, device, fs = _build(config.fs_name, injector)
     injector.arm(FaultPlan(crash_site, torn=torn, seed=config.seed))
     n_done = len(ops)
+    stage = "replay"
     try:
-        oracle = replay_workload(fs, ops)
-    except CrashPoint as exc:
-        oracle = exc.oracle
-        n_done = exc.n_ops_completed
-    injector.disarm()  # recovery-time device writes must apply
-    device.power_fail()
-    fs.crash()
-    fs.remount()
-    errors = oracle.check(fs)
+        try:
+            oracle = replay_workload(fs, ops)
+        except CrashPoint as exc:
+            oracle = exc.oracle
+            n_done = exc.n_ops_completed
+        stage = "recovery"
+        injector.disarm()  # recovery-time device writes must apply
+        device.power_fail()
+        fs.crash()
+        fs.remount()
+    except Exception as exc:
+        n_done = getattr(exc, "n_ops_completed", n_done)
+        errors = [f"{stage} raised {exc!r}"]
+    else:
+        errors = oracle.check(fs)
     return CrashResult(
         fs_name=config.fs_name,
         site=crash_site,

@@ -73,6 +73,20 @@ class ExtFSConfig:
     inode_tx_max_updates: int = 64
 
 
+def _set_bit_range(bitmap: bytearray, lo: int, hi: int) -> None:
+    """Set bits ``[lo, hi)`` of ``bitmap`` (bit ``b`` is ``1 << b % 8`` of
+    byte ``b // 8``): partial edge bytes bit by bit, whole bytes at once."""
+    while lo < hi and lo % 8:
+        bitmap[lo // 8] |= 1 << (lo % 8)
+        lo += 1
+    whole = max(0, hi - lo) // 8
+    bitmap[lo // 8 : lo // 8 + whole] = b"\xff" * whole
+    lo += whole * 8
+    while lo < hi:
+        bitmap[lo // 8] |= 1 << (lo % 8)
+        lo += 1
+
+
 class _DEntry:
     __slots__ = ("ino", "ftype", "blkno", "offset", "size")
 
@@ -176,10 +190,8 @@ class ExtFS(BaseFileSystem):
         self._ibmap = bytearray(sb.inode_bitmap_blocks * self.P)
         self._bbmap = bytearray(sb.block_bitmap_blocks * self.P)
         # Reserve metadata region and the out-of-range tail of the bitmap.
-        for b in range(sb.data_start):
-            self._bbmap[b // 8] |= 1 << (b % 8)
-        for b in range(sb.total_blocks, sb.block_bitmap_blocks * self.P * 8):
-            self._bbmap[b // 8] |= 1 << (b % 8)
+        _set_bit_range(self._bbmap, 0, sb.data_start)
+        _set_bit_range(self._bbmap, sb.total_blocks, len(self._bbmap) * 8)
         # ino 0 reserved, ino 1 = root directory.
         self._ibmap[0] |= 0b11
         root = Inode(1, mode=FT_DIR, links=2)
@@ -433,13 +445,18 @@ class ExtFS(BaseFileSystem):
             )
 
     def _alloc_ino(self) -> int:
-        sb = self._sb
-        for ino in range(2, sb.n_inodes):
-            if not self._ibmap[ino // 8] & (1 << (ino % 8)):
-                self._ibmap[ino // 8] |= 1 << (ino % 8)
-                self._persist_bitmap_bit(True, ino)
-                return ino
-        raise NoSpace("out of inodes")
+        """Allocate the lowest free inode (inos 0 and 1 are set by mkfs)."""
+        bm = self._ibmap
+        byte = len(bm) - len(bm.lstrip(b"\xff"))  # first non-full byte
+        ino = byte * 8
+        if byte < len(bm):
+            v = bm[byte]
+            ino += (~v & (v + 1)).bit_length() - 1  # its lowest zero bit
+        if ino >= self._sb.n_inodes:
+            raise NoSpace("out of inodes")
+        bm[byte] |= 1 << (ino % 8)
+        self._persist_bitmap_bit(True, ino)
+        return ino
 
     def _free_ino(self, ino: int) -> None:
         self._ibmap[ino // 8] &= ~(1 << (ino % 8))
